@@ -3,18 +3,21 @@
  * Concurrent clients over one shared archive: the SageArchiveService
  * tour (service/service.hh). One service owns the open archive and a
  * byte-budgeted decoded-chunk cache; any number of clients read
- * through it — sequential sessions, random ranges, async futures —
- * and a hot chunk is decoded once no matter how many of them ask.
+ * through it — sequential sessions, blocking ranges, callback-driven
+ * requests — and a hot chunk is decoded once no matter how many of
+ * them ask.
  *
  *   sage::SageArchiveService  -> shared server over one archive
  *   service.openSession()     -> per-client sequential cursor
- *   service.readRange(a, n)   -> stored-order span, any priority
- *   service.readRangeAsync()  -> future-based flavor
- *   RequestOptions            -> deadline + cancel token (qos.hh)
+ *   service.readRange(a, n)   -> blocking stored-order span
+ *   service.submit(a, n, ...) -> queue a span, result to a callback
+ *   RequestOptions            -> priority, deadline, cancel token
  *   service.stats()           -> hit rate, latency, queue counters
  */
 
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -65,22 +68,38 @@ main()
 
     // A range reader (e.g. a region query) at Interactive priority.
     clients.emplace_back([&] {
-        const std::vector<Read> span =
-            service.readRange(100, 200, RequestPriority::Interactive);
+        RequestOptions interactive;
+        interactive.priority = RequestPriority::Interactive;
+        const ReadResult span = service.readRange(100, 200, interactive);
         std::printf("  range client: reads [100, 300) -> %zu reads\n",
-                    span.size());
+                    span.reads.size());
     });
 
-    // An async consumer overlapping two requests.
+    // An async consumer overlapping two requests: the first 256 reads
+    // and the whole last chunk, each delivered to a callback on a
+    // service worker.
     clients.emplace_back([&] {
-        auto a = service.readRangeAsync(0, 256);
-        auto b = service.readChunkAsync(service.chunkCount() - 1);
-        std::printf("  async client: %zu + %zu reads\n",
-                    a.get().size(), b.get().size());
+        // The promises are shared with the callbacks: a worker may
+        // still be inside set_value() when this thread's get() returns.
+        auto a = std::make_shared<std::promise<size_t>>();
+        auto b = std::make_shared<std::promise<size_t>>();
+        std::future<size_t> got_a = a->get_future();
+        std::future<size_t> got_b = b->get_future();
+        service.submit(0, 256, RequestOptions{}, [a](ReadResult r) {
+            a->set_value(r.reads.size());
+        });
+        const size_t last = service.chunkCount() - 1;
+        service.submit(service.chunkFirstRead(last),
+                       service.chunkReadCount(last), RequestOptions{},
+                       [b](ReadResult r) {
+                           b->set_value(r.reads.size());
+                       });
+        std::printf("  async client: %zu + %zu reads\n", got_a.get(),
+                    got_b.get());
     });
 
-    // A latency-sensitive client: deadline + cancel token. The QoS
-    // overloads return ReadResult{status, reads} — check ok() before
+    // A latency-sensitive client: deadline + cancel token. Every
+    // request returns ReadResult{status, reads} — check ok() before
     // touching the data; an Expired/Cancelled request delivers none.
     clients.emplace_back([&] {
         CancelSource source;  // cancel() from any thread to abort.

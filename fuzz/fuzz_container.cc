@@ -42,7 +42,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
     if (opened.ok()) {
         SageDecoder &decoder = **opened;
         for (size_t c = 0; c < decoder.chunkCount(); c++)
-            (void)decoder.tryDecodeChunkShared(c);
+            (void)decoder.tryDecodeChunk(c);
     }
     return 0;
 }

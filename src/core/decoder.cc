@@ -28,76 +28,18 @@ ArchiveInfo::dnaStreamBytes() const
 
 /**
  * All stream cursors for one chunk. Chunks are byte-aligned and carry
- * no cross-chunk delta state (format.hh), so a cursor built from the
- * chunk-table offsets decodes its slice with no predecessor knowledge —
+ * no cross-chunk delta state (format.hh), so a cursor built over a
+ * chunk's fetched slices decodes it with no predecessor knowledge —
  * that independence is what the parallel decode path exploits.
- *
- * Construction fetches exactly this chunk's byte slices through the
- * decoder's ByteSource: zero-copy views when the source can provide
- * them (resident archives), owned copies otherwise (files, stripes).
  */
 struct SageDecoder::ChunkCursor
 {
-    /** One stream's slice: either a view or an owned fetch. */
-    struct Span
-    {
-        std::vector<uint8_t> owned;
-        const uint8_t *data = nullptr;
-        size_t size = 0;
-    };
-
-    ChunkCursor(const SageDecoder &d, const ChunkSlice &slice)
-        : remaining(slice.readCount)
-    {
-        // Zero-copy views where the source provides them; everything
-        // else is gathered in one batched read (FileSource coalesces
-        // the slices into preadv calls instead of 13 separate preads).
-        std::array<ByteSource::Extent, kChunkStreamCount> fetch;
-        size_t fetches = 0;
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            const StreamExtent &extent = d.dnaExtents_[s];
-            const uint64_t offset = extent.offset + slice.offsets[s];
-            const uint64_t size = slice.sizes[s];
-            Span &span = spans[s];
-            span.size = static_cast<size_t>(size);
-            if (size == 0)
-                continue;
-            if (const uint8_t *direct =
-                    d.source_->view(offset, span.size)) {
-                span.data = direct;
-            } else {
-                span.owned.resize(span.size);
-                span.data = span.owned.data();
-                fetch[fetches++] = {offset, span.owned.data(),
-                                    span.size};
-            }
-        }
-        if (fetches > 0)
-            d.source_->readBatch(fetch.data(), fetches);
-        initReaders();
-    }
-
-    /** Adopt slices already fetched by the prefetcher. */
-    ChunkCursor(const ChunkSlice &slice, ChunkBytes &&bytes)
-        : remaining(slice.readCount)
-    {
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            Span &span = spans[s];
-            span.owned = std::move(bytes.streams[s]);
-            span.size = span.owned.size();
-            sage_assert(span.size == slice.sizes[s],
-                        "prefetched chunk slice size mismatch");
-            if (span.size > 0)
-                span.data = span.owned.data();
-        }
-        initReaders();
-    }
-
-    void
-    initReaders()
+    explicit ChunkCursor(const ChunkBytes &bytes)
+        : escape(bytes.data_[kChunkEscape]),
+          escapeSize(bytes.size_[kChunkEscape])
     {
         auto reader = [&](unsigned s) {
-            return BitReader(spans[s].data, spans[s].size);
+            return BitReader(bytes.data_[s], bytes.size_[s]);
         };
         flags = reader(kChunkFlags);
         mpa = reader(kChunkMpa);
@@ -113,9 +55,6 @@ struct SageDecoder::ChunkCursor
         mbta = reader(kChunkMbta);
     }
 
-    const Span &escape() const { return spans[kChunkEscape]; }
-
-    std::array<Span, kChunkStreamCount> spans;
     BitReader flags{nullptr, 0}, mpa{nullptr, 0}, mpga{nullptr, 0},
         rla{nullptr, 0}, rlga{nullptr, 0}, sga{nullptr, 0},
         sgga{nullptr, 0}, mca{nullptr, 0}, mcga{nullptr, 0},
@@ -123,9 +62,10 @@ struct SageDecoder::ChunkCursor
     /** Escape payloads are whole 3-bit-packed byte blocks, so a plain
      *  byte cursor (relative to this chunk's slice) replaces a bit
      *  reader here. */
+    const uint8_t *escape;
+    size_t escapeSize;
     size_t escapeByte = 0;
     uint64_t prevPrimary = 0;
-    uint64_t remaining;
 };
 
 SageDecoder::SageDecoder(const ByteSource &source, bool dna_only,
@@ -168,132 +108,7 @@ SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
     return StatusOr<std::unique_ptr<SageDecoder>>(std::move(decoder));
 }
 
-SageDecoder::~SageDecoder()
-{
-    // An in-flight prefetch task references this decoder; wait it out.
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-}
-
-void
-SageDecoder::setPrefetchPool(ThreadPool *pool)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-    prefetchState_ = PrefetchState::Idle;
-    prefetchBytes_ = ChunkBytes{};
-    prefetchPool_ = pool;
-}
-
-StatusOr<SageDecoder::ChunkBytes>
-SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
-{
-    // One batched read covers all 13 stream slices (coalesced into
-    // preadv calls by FileSource).
-    ChunkBytes bytes;
-    std::array<ByteSource::Extent, kChunkStreamCount> fetch;
-    size_t fetches = 0;
-    for (unsigned s = 0; s < kChunkStreamCount; s++) {
-        const uint64_t size = slice.sizes[s];
-        if (size == 0)
-            continue;
-        const uint64_t offset =
-            dnaExtents_[s].offset + slice.offsets[s];
-        bytes.streams[s].resize(static_cast<size_t>(size));
-        fetch[fetches++] = {offset, bytes.streams[s].data(),
-                            static_cast<size_t>(size)};
-    }
-    if (fetches > 0) {
-        Status status = source_->tryReadBatch(fetch.data(), fetches);
-        if (!status.ok())
-            return status;
-    }
-    return StatusOr<ChunkBytes>(std::move(bytes));
-}
-
-SageDecoder::ChunkBytes
-SageDecoder::fetchChunkBytes(const ChunkSlice &slice) const
-{
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
-    if (!bytes.ok())
-        sage_fatal(bytes.status().message());
-    return std::move(bytes.value());
-}
-
-void
-SageDecoder::startPrefetch(size_t chunk)
-{
-    {
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        // The slot can still be busy with a speculation a random
-        // access abandoned; never stack fetches behind it.
-        if (prefetchState_ != PrefetchState::Idle)
-            return;
-        prefetchState_ = PrefetchState::InFlight;
-        prefetchChunk_ = chunk;
-    }
-    prefetchPool_->submit([this, chunk] {
-        ChunkBytes bytes = fetchChunkBytes(chunks_[chunk]);
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        prefetchBytes_ = std::move(bytes);
-        prefetchState_ = PrefetchState::Ready;
-        prefetchCv_.notify_all();
-    });
-}
-
-bool
-SageDecoder::takePrefetched(size_t chunk, ChunkBytes &out)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    // Wait only for a fetch of the chunk we want; an in-flight fetch
-    // of some other chunk means a random access jumped past the
-    // speculation — fetch inline instead of blocking behind it (its
-    // stale payload is discarded by a later take).
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight ||
-            prefetchChunk_ != chunk;
-    });
-    if (prefetchState_ == PrefetchState::InFlight)
-        return false;
-    const bool hit =
-        prefetchState_ == PrefetchState::Ready && prefetchChunk_ == chunk;
-    if (hit)
-        out = std::move(prefetchBytes_);
-    prefetchBytes_ = ChunkBytes{};
-    prefetchState_ = PrefetchState::Idle;
-    return hit;
-}
-
-std::unique_ptr<SageDecoder::ChunkCursor>
-SageDecoder::openChunk(size_t index)
-{
-    if (!prefetchPool_)
-        return std::make_unique<ChunkCursor>(*this, chunks_[index]);
-
-    // Double buffering: adopt the slices fetched behind chunk index-1
-    // (or fetch in line on a miss — first chunk, or a range jump),
-    // then put the slot to work on chunk index+1 while the caller
-    // decodes this one. Speculate only while the walk looks
-    // sequential (first open, successor of the last open, or a
-    // prefetch hit): scattered random access would otherwise pay a
-    // wasted full-chunk fetch per open.
-    ChunkBytes bytes;
-    const bool hit = takePrefetched(index, bytes);
-    if (!hit)
-        bytes = fetchChunkBytes(chunks_[index]);
-    const bool sequential = hit ||
-        lastOpenedChunk_ == SIZE_MAX ||
-        index == lastOpenedChunk_ + 1;
-    lastOpenedChunk_ = index;
-    if (sequential && index + 1 < chunks_.size())
-        startPrefetch(index + 1);
-    return std::make_unique<ChunkCursor>(chunks_[index],
-                                         std::move(bytes));
-}
+SageDecoder::~SageDecoder() = default;
 
 void
 SageDecoder::parseContainer(bool dna_only)
@@ -373,6 +188,9 @@ try {
         size_t pos = 0;
         while (pos < raw.size())
             order_.push_back(static_cast<uint32_t>(getVarint(raw, pos)));
+        sage_check_data(order_.size() == params.numReads, Corrupt,
+                        "order stream holds ", order_.size(),
+                        " entries for ", params.numReads, " reads");
     }
     if (!dna_only && params.hasQuality && dir_.has("quality")) {
         status = dir_.tryLoad(*source_, "quality", raw);
@@ -487,24 +305,16 @@ SageDecoder::chunkCompressedBytes() const
 }
 
 Read
-SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
-                       uint64_t &events, bool consume_host)
+SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index) const
 {
     const SageParams &params = info_.params;
 
     Read read;
-    // On the one-shot paths headers and quality strings are emitted
-    // exactly once per read, so they move out of the decoder; random
-    // chunk access copies so a chunk can be decoded repeatedly.
-    if (read_index < headers_.size()) {
-        read.header = consume_host ? std::move(headers_[read_index])
-                                   : headers_[read_index];
-    }
+    if (read_index < headers_.size())
+        read.header = headers_[read_index];
     auto take_quals = [&] {
-        if (read_index < quals_.size()) {
-            read.quals = consume_host ? std::move(quals_[read_index])
-                                      : quals_[read_index];
-        }
+        if (read_index < quals_.size())
+            read.quals = quals_[read_index];
     };
 
     // ---- Flags --------------------------------------------------------
@@ -539,11 +349,10 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
     // at a time.
     auto take_escape = [&] {
         const size_t packed_bytes = (length * 3 + 7) / 8;
-        const ChunkCursor::Span &escape = cur.escape();
-        sage_check_data(packed_bytes <= escape.size &&
-                        cur.escapeByte <= escape.size - packed_bytes,
+        sage_check_data(packed_bytes <= cur.escapeSize &&
+                        cur.escapeByte <= cur.escapeSize - packed_bytes,
                         Truncated, "escape stream underrun");
-        read.bases = unpackSequence(escape.data + cur.escapeByte,
+        read.bases = unpackSequence(cur.escape + cur.escapeByte,
                                     packed_bytes, length,
                                     OutputFormat::ThreeBit);
         cur.escapeByte += packed_bytes;
@@ -609,7 +418,6 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                 }
             }
             first_event_of_read = false;
-            events++;
 
             // Copy the consensus run up to the event position.
             if (read_i < event_pos) {
@@ -704,98 +512,8 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
     return read;
 }
 
-Read
-SageDecoder::next()
-{
-    sage_assert(hasNext(), "decoder exhausted");
-    while (!cursor_ || cursor_->remaining == 0) {
-        sage_assert(nextChunk_ < chunks_.size(),
-                    "chunk table exhausted before read count");
-        cursor_ = openChunk(nextChunk_++);
-    }
-    cursor_->remaining--;
-    Read read = decodeOne(*cursor_, emitted_, events_,
-                          /*consume_host=*/true);
-    emitted_++;
-    return read;
-}
-
-bool
-SageDecoder::canDecodeParallel(const ThreadPool *pool,
-                               size_t count) const
-{
-    return pool && pool->threadCount() > 1 && count > 1;
-}
-
-// Chunks are independent slices: decode them concurrently, each worker
-// fetching its own chunk's byte slices and delivering to disjoint
-// stored-order indices (so stored order is preserved by construction,
-// and headers/quals move out race-free on the consume paths).
-template <typename Sink>
-void
-SageDecoder::decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                            bool consume_host, const Sink &sink)
-{
-    std::vector<uint64_t> chunk_events(count, 0);
-    pool->parallelFor(count, [&](size_t i) {
-        const ChunkSlice &slice = chunks_[first + i];
-        ChunkCursor cur(*this, slice);
-        for (uint64_t r = 0; r < slice.readCount; r++) {
-            const uint64_t idx = slice.firstRead + r;
-            sink(idx, decodeOne(cur, idx, chunk_events[i],
-                                consume_host));
-        }
-    });
-    for (uint64_t e : chunk_events)
-        events_ += e;
-}
-
-ReadSet
-SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
-{
-    sage_assert(first <= chunks_.size() &&
-                count <= chunks_.size() - first,
-                "chunk range out of bounds");
-    ReadSet rs;
-    if (count == 0)
-        return rs;
-
-    const uint64_t base = chunks_[first].firstRead;
-    const ChunkSlice &last = chunks_[first + count - 1];
-    rs.reads.resize(
-        static_cast<size_t>(last.firstRead + last.readCount - base));
-
-    if (canDecodeParallel(pool, count)) {
-        decodeParallel(pool, first, count, /*consume_host=*/false,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx - base] = std::move(read);
-                       });
-    } else {
-        for (size_t c = first; c < first + count; c++) {
-            const ChunkSlice &slice = chunks_[c];
-            const std::unique_ptr<ChunkCursor> cur = openChunk(c);
-            for (uint64_t r = 0; r < slice.readCount; r++) {
-                const uint64_t idx = slice.firstRead + r;
-                rs.reads[static_cast<size_t>(idx - base)] =
-                    decodeOne(*cur, idx, events_,
-                              /*consume_host=*/false);
-            }
-        }
-    }
-    return rs;
-}
-
-std::vector<Read>
-SageDecoder::decodeChunkShared(size_t chunk)
-{
-    StatusOr<std::vector<Read>> reads = tryDecodeChunkShared(chunk);
-    if (!reads.ok())
-        sage_fatal(reads.status().message());
-    return std::move(reads.value());
-}
-
-StatusOr<std::vector<Read>>
-SageDecoder::tryDecodeChunkShared(size_t chunk)
+StatusOr<SageDecoder::ChunkBytes>
+SageDecoder::tryFetchChunk(size_t chunk) const
 {
     if (chunk >= chunks_.size()) {
         return Status::outOfRange("chunk index ", chunk,
@@ -803,25 +521,73 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
                                   chunks_.size(), " chunks)");
     }
     const ChunkSlice &slice = chunks_[chunk];
-    // The fetch goes through the non-fatal source path so a failing
-    // disk reports IoError here instead of killing the process; decode
-    // errors on corrupt bytes surface as StatusError from the bit
-    // readers and bounds checks in decodeOne.
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
+    // Zero-copy views where the source provides them (resident
+    // archives); every other slice is laid out in one owned buffer and
+    // gathered by a single batched read, which FileSource coalesces
+    // into preadv calls instead of 13 separate preads.
+    ChunkBytes bytes;
+    std::array<uint64_t, kChunkStreamCount> offsets{};
+    std::array<size_t, kChunkStreamCount> owned_at{};
+    size_t owned = 0;
+    for (unsigned s = 0; s < kChunkStreamCount; s++) {
+        const size_t size = static_cast<size_t>(slice.sizes[s]);
+        offsets[s] = dnaExtents_[s].offset + slice.offsets[s];
+        bytes.size_[s] = size;
+        if (size == 0)
+            continue;
+        bytes.data_[s] = source_->view(offsets[s], size);
+        if (!bytes.data_[s]) {
+            owned_at[s] = owned;
+            owned += size;
+        }
+    }
+    if (owned == 0)
+        return StatusOr<ChunkBytes>(std::move(bytes));
+
+    bytes.owned_.resize(owned);
+    std::array<ByteSource::Extent, kChunkStreamCount> fetch;
+    size_t fetches = 0;
+    for (unsigned s = 0; s < kChunkStreamCount; s++) {
+        if (bytes.size_[s] == 0 || bytes.data_[s])
+            continue;
+        uint8_t *dst = bytes.owned_.data() + owned_at[s];
+        bytes.data_[s] = dst;
+        fetch[fetches++] = {offsets[s], dst, bytes.size_[s]};
+    }
+    Status status = source_->tryReadBatch(fetch.data(), fetches);
+    if (!status.ok())
+        return status;
+    return StatusOr<ChunkBytes>(std::move(bytes));
+}
+
+StatusOr<std::vector<Read>>
+SageDecoder::tryDecodeChunk(size_t chunk) const
+{
+    StatusOr<ChunkBytes> bytes = tryFetchChunk(chunk);
     if (!bytes.ok())
         return bytes.status();
+    return tryDecodeChunk(chunk, bytes.value());
+}
+
+StatusOr<std::vector<Read>>
+SageDecoder::tryDecodeChunk(size_t chunk, const ChunkBytes &bytes) const
+{
+    // The bytes came from tryFetchChunk(chunk), which range-checked it.
+    sage_assert(chunk < chunks_.size(), "chunk index out of range");
+    const ChunkSlice &slice = chunks_[chunk];
+    for (unsigned s = 0; s < kChunkStreamCount; s++) {
+        sage_assert(bytes.size_[s] == slice.sizes[s],
+                    "chunk bytes were fetched for another chunk");
+    }
+    // Decode errors on corrupt bytes surface as StatusError from the
+    // bit readers and bounds checks in decodeOne. The cursor is
+    // private to this call, which is what makes concurrent calls safe.
     try {
-        // A private cursor and a local event counter: nothing here
-        // writes decoder state, which is what makes concurrent calls
-        // safe.
-        ChunkCursor cur(slice, std::move(bytes.value()));
+        ChunkCursor cur(bytes);
         std::vector<Read> reads;
         reads.reserve(static_cast<size_t>(slice.readCount));
-        uint64_t events = 0;
-        for (uint64_t r = 0; r < slice.readCount; r++) {
-            reads.push_back(decodeOne(cur, slice.firstRead + r, events,
-                                      /*consume_host=*/false));
-        }
+        for (uint64_t r = 0; r < slice.readCount; r++)
+            reads.push_back(decodeOne(cur, slice.firstRead + r));
         return StatusOr<std::vector<Read>>(std::move(reads));
     } catch (const StatusError &err) {
         return err.status();
@@ -835,61 +601,55 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
 }
 
 ReadSet
-SageDecoder::decodeAll(ThreadPool *pool)
+SageDecoder::decodeAll(ThreadPool *pool) const
 {
     ReadSet rs;
-    const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
-        rs.reads.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx] = std::move(read);
-                       });
-        emitted_ = total;
-    } else {
-        rs.reads.reserve(total - emitted_);
-        while (hasNext())
-            rs.reads.push_back(next());
-    }
-
-    if (!order_.empty()) {
-        std::vector<Read> restored(rs.reads.size());
-        for (size_t i = 0; i < rs.reads.size(); i++) {
-            sage_assert(order_[i] < restored.size(), "bad order index");
-            restored[order_[i]] = std::move(rs.reads[i]);
-        }
-        rs.reads = std::move(restored);
-    }
+    rs.reads.resize(static_cast<size_t>(info_.params.numReads));
+    forEachChunk(*this, 0, chunks_.size(), pool,
+                 [&](size_t chunk, std::vector<Read> &&reads) {
+                     std::move(reads.begin(), reads.end(),
+                               rs.reads.begin() +
+                                   static_cast<ptrdiff_t>(
+                                       chunks_[chunk].firstRead));
+                 });
+    restoreOrder(rs.reads);
     return rs;
 }
 
 std::vector<std::vector<uint8_t>>
-SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
+SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool) const
 {
-    auto pack = [fmt](const Read &read) {
-        const OutputFormat effective =
-            fmt == OutputFormat::TwoBit && !isAcgtOnly(read.bases)
-                ? OutputFormat::ThreeBit : fmt;
-        return packSequence(read.bases, effective);
-    };
-
-    std::vector<std::vector<uint8_t>> out;
-    const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
-        out.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           out[idx] = pack(read);
-                       });
-        emitted_ = total;
-    } else {
-        out.reserve(total - emitted_);
-        while (hasNext())
-            out.push_back(pack(next()));
-    }
+    std::vector<std::vector<uint8_t>> out(
+        static_cast<size_t>(info_.params.numReads));
+    forEachChunk(*this, 0, chunks_.size(), pool,
+                 [&](size_t chunk, std::vector<Read> &&reads) {
+                     uint64_t index = chunks_[chunk].firstRead;
+                     for (const Read &read : reads) {
+                         const OutputFormat effective =
+                             fmt == OutputFormat::TwoBit &&
+                                     !isAcgtOnly(read.bases)
+                                 ? OutputFormat::ThreeBit : fmt;
+                         out[index++] =
+                             packSequence(read.bases, effective);
+                     }
+                 });
     return out;
+}
+
+void
+SageDecoder::restoreOrder(std::vector<Read> &reads) const
+{
+    if (order_.empty())
+        return;
+    sage_assert(reads.size() == order_.size(), "restoring order of ",
+                reads.size(), " reads; the archive holds ",
+                order_.size());
+    std::vector<Read> restored(reads.size());
+    for (size_t i = 0; i < reads.size(); i++) {
+        sage_assert(order_[i] < restored.size(), "bad order index");
+        restored[order_[i]] = std::move(reads[i]);
+    }
+    reads = std::move(restored);
 }
 
 uint64_t
@@ -901,6 +661,31 @@ SageDecoder::workingSetBytes() const
     // 150-bp reconstruction register and two 64-bit double-buffer
     // registers.
     return consensus_.size() + sizeof(ChunkCursor);
+}
+
+void
+forEachChunk(const SageDecoder &decoder, size_t first, size_t count,
+             ThreadPool *pool,
+             const std::function<void(size_t, std::vector<Read> &&)> &sink)
+{
+    sage_assert(first <= decoder.chunkCount() &&
+                count <= decoder.chunkCount() - first,
+                "chunk range out of bounds");
+    // Chunks are independent slices: each decodes through its own
+    // cursor, so workers share nothing but the immutable decoder.
+    auto decode = [&](size_t i) {
+        StatusOr<std::vector<Read>> reads =
+            decoder.tryDecodeChunk(first + i);
+        if (!reads.ok())
+            sage_fatal(reads.status().message());
+        sink(first + i, std::move(reads.value()));
+    };
+    if (pool && pool->threadCount() > 1 && count > 1) {
+        pool->parallelFor(count, decode);
+    } else {
+        for (size_t i = 0; i < count; i++)
+            decode(i);
+    }
 }
 
 ReadSet

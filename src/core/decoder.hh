@@ -8,7 +8,7 @@
  * sequential accesses. The same functional core backs:
  *   - SAGeSW (host software decompression, paper §7 config v), and
  *   - the hardware timing model (hw/), which replays the stream sizes
- *     and event counts this decoder reports.
+ *     this decoder reports (ArchiveInfo).
  *
  * The decoder reads the container through a ByteSource
  * (io/byte_stream.hh): headers, chunk table and consensus are parsed
@@ -21,11 +21,13 @@
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
- * analogue of the paper's per-Scan-Unit slices. decodeAll(),
- * decodeAllPacked() and decodeChunks() accept an optional ThreadPool
- * and fan chunks across it, preserving output order; the sequential
- * next() API walks the chunks in order. v1 archives load as a single
- * chunk.
+ * analogue of the paper's per-Scan-Unit slices. The one decode
+ * primitive is tryDecodeChunk(): fetch a chunk's byte slices, walk
+ * them, return its reads in stored order (or a Status). The decoder
+ * is immutable after open and every decode method is const, so any
+ * number of threads may decode through one instance. decodeAll() and
+ * decodeAllPacked() drive tryDecodeChunk() over every chunk, serially
+ * or fanned across a ThreadPool. v1 archives load as a single chunk.
  *
  * Most users should prefer the session API (io/session.hh:
  * SageWriter/SageReader) over constructing a SageDecoder directly.
@@ -34,10 +36,10 @@
 #ifndef SAGE_CORE_DECODER_HH
 #define SAGE_CORE_DECODER_HH
 
-#include <condition_variable>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -122,88 +124,74 @@ class SageDecoder
      *  pipeline model to overlap chunk I/O with decode. */
     std::vector<uint64_t> chunkCompressedBytes() const;
 
-    /** True while reads remain. */
-    bool hasNext() const { return emitted_ < info_.params.numReads; }
+    /**
+     * One chunk's 13 stream slices, ready to decode: zero-copy views
+     * where the source offers them, the rest gathered by one batched
+     * read into an owned buffer. Move-only (the views point into that
+     * buffer); only the decoder looks inside.
+     */
+    class ChunkBytes
+    {
+      public:
+        ChunkBytes() = default;
+        ChunkBytes(ChunkBytes &&) = default;
+        ChunkBytes &operator=(ChunkBytes &&) = default;
+        ChunkBytes(const ChunkBytes &) = delete;
+        ChunkBytes &operator=(const ChunkBytes &) = delete;
+
+      private:
+        friend class SageDecoder;
+        std::array<const uint8_t *, kChunkStreamCount> data_{};
+        std::array<size_t, kChunkStreamCount> size_{};
+        std::vector<uint8_t> owned_;
+    };
 
     /**
-     * Decode the next read's bases (and quality if present).
-     * Reads come out in stored order (matching-position order).
+     * Fetch chunk @p chunk's byte slices through the source. I/O
+     * failures (and an out-of-range index) come back as a Status.
      */
-    Read next();
+    StatusOr<ChunkBytes> tryFetchChunk(size_t chunk) const;
 
     /**
-     * Decode chunks [@p first, @p first + @p count) into stored-order
-     * reads, fetching only those chunks' byte slices from the source.
-     * Independent of the sequential next() cursor and repeatable: it
-     * never consumes decoder state, so the same range can be decoded
-     * twice. No original-order restoration (the permutation is global);
-     * reads match the corresponding decodeAll() slice in stored order.
-     * With a pool, chunks in the range decode in parallel.
+     * Decode chunk @p chunk into stored-order reads — the decode
+     * primitive every other read path drives. Fetches only this
+     * chunk's slices, copies headers and quality (so the same chunk
+     * decodes repeatably), and reports I/O failures and corrupt chunk
+     * data as a Status instead of aborting.
      */
-    ReadSet decodeChunks(size_t first, size_t count,
-                         ThreadPool *pool = nullptr);
+    StatusOr<std::vector<Read>> tryDecodeChunk(size_t chunk) const;
+
+    /** Decode chunk @p chunk from @p bytes, fetched earlier by
+     *  tryFetchChunk(@p chunk) — the seam a fetch-ahead reader uses to
+     *  overlap the next chunk's I/O with this chunk's decode. */
+    StatusOr<std::vector<Read>>
+    tryDecodeChunk(size_t chunk, const ChunkBytes &bytes) const;
 
     /**
-     * Decode chunk @p chunk alone into stored-order reads — the
-     * service layer's decode-into-cache entry point. Unlike the other
-     * decode calls this touches no sequential, prefetch or event
-     * state, so any number of threads may call it concurrently on one
-     * decoder (each call fetches its own byte slices through the
-     * thread-safe ByteSource and copies headers/quality rather than
-     * consuming them; the same chunk decodes repeatably). Must not be
-     * mixed with a concurrent decodeAll()/decodeAllPacked(), which
-     * move the host streams out. Decoded mismatch events are not
-     * added to eventsDecoded().
+     * Decode everything into a ReadSet, restoring the original order
+     * when the archive preserved it. With a pool and a multi-chunk
+     * archive, chunks decode in parallel; the result is identical to
+     * the serial path. Fatal on a chunk that fails to decode.
      */
-    std::vector<Read> decodeChunkShared(size_t chunk);
-
-    /**
-     * Non-fatal flavor of decodeChunkShared(): I/O failures and
-     * corrupt chunk data come back as a Status instead of aborting,
-     * so one bad chunk degrades one request, not the process. Same
-     * thread-safety contract as decodeChunkShared().
-     */
-    StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk);
-
-    /**
-     * Decode everything into a ReadSet (restores original order when
-     * the archive preserved it). With a pool and a multi-chunk archive,
-     * chunks decode in parallel; the result is identical to the
-     * sequential path. One-shot: headers and quality strings move out
-     * of the decoder, so later decodeChunks() calls see them empty.
-     */
-    ReadSet decodeAll(ThreadPool *pool = nullptr);
+    ReadSet decodeAll(ThreadPool *pool = nullptr) const;
 
     /**
      * Decode everything into packed analysis format — what SAGe_Read
-     * hands to an accelerator (paper §5.4): per-read packed bases.
-     * Optionally chunk-parallel, like decodeAll().
+     * hands to an accelerator (paper §5.4): per-read packed bases, in
+     * stored order (unlike decodeAll(), no preserved-order
+     * restoration). Optionally chunk-parallel, like decodeAll().
      */
     std::vector<std::vector<uint8_t>>
-    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr);
+    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr) const;
 
-    /**
-     * Enable prefetch-next-chunk mode: while the sequential decode
-     * paths (next(), and decodeChunks()/decodeAll() without a decode
-     * pool) work through chunk i, a task on @p pool fetches chunk
-     * i+1's byte slices through the ByteSource, so real FileSource /
-     * StripedSource I/O overlaps decode — the host-software analogue
-     * of the paper's NAND-streaming/decode double buffering (§5.2.2).
-     * Output is byte-identical to non-prefetched decoding.
-     *
-     * The pool must outlive this decoder (one thread is enough: the
-     * fetch task blocks on pread, not CPU). Pass nullptr to disable.
-     * Chunk-parallel decodes ignore the prefetcher — their workers
-     * already overlap fetch and decode per chunk.
-     */
-    void setPrefetchPool(ThreadPool *pool);
+    /** Permute @p reads, every read of the archive in stored order,
+     *  into the original order (no-op unless the archive preserved
+     *  it). decodeAll() applies this itself. */
+    void restoreOrder(std::vector<Read> &reads) const;
 
     /** Decoder working-set bytes: registers + consensus window model.
      *  (The HW streams the consensus; software keeps it resident.) */
     uint64_t workingSetBytes() const;
-
-    /** Total mismatch events decoded so far (HW model input). */
-    uint64_t eventsDecoded() const { return events_; }
 
   private:
     struct ChunkCursor;
@@ -217,12 +205,6 @@ class SageDecoder
         std::array<uint64_t, kChunkStreamCount> sizes{};
     };
 
-    /** One chunk's byte slices, owned (the prefetcher's payload). */
-    struct ChunkBytes
-    {
-        std::array<std::vector<uint8_t>, kChunkStreamCount> streams;
-    };
-
     /** tryOpen's blank instance; every member has a safe default. */
     SageDecoder() = default;
 
@@ -232,42 +214,10 @@ class SageDecoder
      *  untrusted container framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
-    /** Synchronously read every stream slice of @p slice. */
-    ChunkBytes fetchChunkBytes(const ChunkSlice &slice) const;
-
-    /** Non-fatal fetch of every stream slice of @p slice. */
-    StatusOr<ChunkBytes> tryFetchChunkBytes(const ChunkSlice &slice) const;
-
-    /** Queue a background fetch of chunk @p chunk (requires an idle
-     *  prefetch slot; callers take the slot first). */
-    void startPrefetch(size_t chunk);
-
-    /** Claim the prefetch slot: wait out any in-flight fetch, then
-     *  move its payload into @p out when it was for @p chunk.
-     *  Leaves the slot idle. Returns whether @p out was filled. */
-    bool takePrefetched(size_t chunk, ChunkBytes &out);
-
-    /** Open chunk @p index for sequential decode: consume a matching
-     *  prefetched payload (or fetch in line), then kick off the fetch
-     *  of chunk @p index+1 when prefetching is on. */
-    std::unique_ptr<ChunkCursor> openChunk(size_t index);
-
     /** Decode one read via @p cur; @p read_index is its stored-order
-     *  position (indexes headers_/quals_). @p consume_host moves the
-     *  header/quality strings out (one-shot paths) instead of copying
-     *  (repeatable random access). */
-    Read decodeOne(ChunkCursor &cur, uint64_t read_index,
-                   uint64_t &events, bool consume_host);
-
-    /** True when a chunk range may fan out across @p pool. */
-    bool canDecodeParallel(const ThreadPool *pool, size_t count) const;
-
-    /** Fan chunks [first, first+count) across @p pool, calling
-     *  sink(index, Read&&) for every read (indices are disjoint across
-     *  workers). Requires canDecodeParallel(pool, count). */
-    template <typename Sink>
-    void decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                        bool consume_host, const Sink &sink);
+     *  position (indexes headers_/quals_). Throws StatusError on
+     *  corrupt chunk data. */
+    Read decodeOne(ChunkCursor &cur, uint64_t read_index) const;
 
     /** Owned backing for the legacy vector constructor. */
     std::unique_ptr<MemorySource> ownedSource_;
@@ -290,25 +240,20 @@ class SageDecoder
         countCodec_, posCodec_, segposCodec_, seglenCodec_;
 
     std::vector<ChunkSlice> chunks_;
-    std::unique_ptr<ChunkCursor> cursor_;  ///< Sequential next() state.
-    size_t nextChunk_ = 0;                 ///< Next chunk to open.
-    uint64_t emitted_ = 0;
-    uint64_t events_ = 0;
-
-    // Prefetch-next-chunk state: a one-deep slot (double buffering —
-    // the chunk being decoded plus the chunk in flight, exactly the
-    // paper's two decompression-window registers).
-    enum class PrefetchState { Idle, InFlight, Ready };
-    ThreadPool *prefetchPool_ = nullptr;
-    std::mutex prefetchMutex_;
-    std::condition_variable prefetchCv_;
-    PrefetchState prefetchState_ = PrefetchState::Idle;
-    size_t prefetchChunk_ = 0;      ///< Chunk the slot refers to.
-    ChunkBytes prefetchBytes_;      ///< Payload when Ready.
-    /** Last chunk openChunk() served; SIZE_MAX before the first open.
-     *  Speculation continues only across sequential opens. */
-    size_t lastOpenedChunk_ = SIZE_MAX;
 };
+
+/**
+ * The one multi-chunk decode loop (decodeAll(), decodeAllPacked(),
+ * SageReader::decodeRange() with a pool): tryDecodeChunk() over chunks
+ * [@p first, @p first + @p count), serially or fanned across @p pool,
+ * handing each chunk's stored-order reads to @p sink. On the parallel
+ * path sink runs concurrently for distinct chunks. Fatal on a chunk
+ * that fails to decode.
+ */
+void forEachChunk(const SageDecoder &decoder, size_t first, size_t count,
+                  ThreadPool *pool,
+                  const std::function<void(size_t, std::vector<Read> &&)>
+                      &sink);
 
 /** One-call convenience: decode a SAGe archive into a ReadSet. */
 ReadSet sageDecompress(const std::vector<uint8_t> &archive);

@@ -15,6 +15,10 @@
  *   sage::ReadSet part = reader.decodeRange(2, 3);  // chunks 2..4 only
  * @endcode
  *
+ * Every read path bottoms out in one decode primitive,
+ * SageDecoder::tryDecodeChunk(chunk): a const, thread-safe decode of
+ * one chunk into stored-order reads (or a Status).
+ *
  * The whole-buffer wrappers remain for callers that hold archives in
  * memory:
  * @code
@@ -29,7 +33,10 @@
  *   sage::SageArchiveService service("reads.sage");
  *   sage::ServiceSession client = service.openSession();
  *   while (client.hasNext()) process(client.next());
+ *   sage::ReadResult span = service.readRange(first, count);
  * @endcode
+ * Its two request entry points are submit() (queue a request, result
+ * to a callback) and readRange() (the blocking wrapper).
  *
  * For storage/accelerator integration see ssd/sage_device.hh
  * (SAGe_Read / SAGe_Write interface commands, per-chunk LPN extents),

@@ -1,5 +1,6 @@
 #include "io/session.hh"
 
+#include <algorithm>
 #include <iterator>
 
 #include "compress/streams.hh"
@@ -104,28 +105,110 @@ SageReader::enablePrefetch(const SageReaderOptions &options)
 {
     if (!options.prefetch)
         return;
-    ThreadPool *pool = options.prefetchPool;
-    if (!pool) {
+    prefetchPool_ = options.prefetchPool;
+    if (!prefetchPool_) {
         // One thread suffices: the fetch task blocks on I/O, not CPU.
-        prefetchPool_ = std::make_unique<ThreadPool>(1);
-        pool = prefetchPool_.get();
+        ownedPrefetchPool_ = std::make_unique<ThreadPool>(1);
+        prefetchPool_ = ownedPrefetchPool_.get();
     }
-    decoder_->setPrefetchPool(pool);
 }
 
-SageReader::~SageReader() = default;
+SageReader::~SageReader()
+{
+    // An in-flight fetch references the decoder; wait it out.
+    if (ahead_.valid())
+        ahead_.wait();
+}
+
+StatusOr<SageDecoder::ChunkBytes>
+SageReader::fetchChunk(size_t chunk)
+{
+    if (!prefetchPool_)
+        return decoder_->tryFetchChunk(chunk);
+
+    // Take the slot. A stale speculation (a jump past it) is waited
+    // out and dropped, so at most one background fetch is in flight.
+    using Fetched = StatusOr<SageDecoder::ChunkBytes>;
+    std::future<Fetched> slot = std::move(ahead_);
+    const bool hit = slot.valid() && aheadChunk_ == chunk;
+    if (slot.valid() && !hit)
+        slot.wait();
+
+    // Put the slot to work on the successor while the caller decodes
+    // this chunk — only on a sequential walk, so scattered random
+    // access pays no wasted fetches.
+    if (chunk == expectedChunk_ && chunk + 1 < chunkCount()) {
+        auto promise = std::make_shared<std::promise<Fetched>>();
+        ahead_ = promise->get_future();
+        aheadChunk_ = chunk + 1;
+        const SageDecoder *decoder = decoder_.get();
+        prefetchPool_->submit([promise, decoder, next = chunk + 1] {
+            promise->set_value(decoder->tryFetchChunk(next));
+        });
+    }
+    expectedChunk_ = chunk + 1;
+    return hit ? slot.get() : decoder_->tryFetchChunk(chunk);
+}
 
 std::vector<Read>
 SageReader::readChunk(size_t chunk)
 {
-    return decoder_->decodeChunks(chunk, 1).reads;
+    StatusOr<SageDecoder::ChunkBytes> bytes = fetchChunk(chunk);
+    StatusOr<std::vector<Read>> reads = bytes.ok()
+        ? decoder_->tryDecodeChunk(chunk, bytes.value())
+        : StatusOr<std::vector<Read>>(bytes.status());
+    if (!reads.ok())
+        sage_fatal(source_->describe(), ": ", reads.status().message());
+    return std::move(reads.value());
 }
 
 ReadSet
 SageReader::decodeRange(size_t first_chunk, size_t chunk_count,
                         ThreadPool *pool)
 {
-    return decoder_->decodeChunks(first_chunk, chunk_count, pool);
+    sage_assert(first_chunk <= chunkCount() &&
+                chunk_count <= chunkCount() - first_chunk,
+                "chunk range out of bounds");
+    ReadSet rs;
+    if (chunk_count == 0)
+        return rs;
+    const uint64_t base = chunkFirstRead(first_chunk);
+    const size_t last = first_chunk + chunk_count - 1;
+    rs.reads.resize(static_cast<size_t>(
+        chunkFirstRead(last) + chunkReadCount(last) - base));
+    auto place = [&](size_t chunk, std::vector<Read> &&reads) {
+        std::move(reads.begin(), reads.end(),
+                  rs.reads.begin() +
+                      static_cast<ptrdiff_t>(chunkFirstRead(chunk) - base));
+    };
+    if (pool) {
+        forEachChunk(*decoder_, first_chunk, chunk_count, pool, place);
+    } else {
+        // The serial walk goes through readChunk() for the fetch-ahead.
+        for (size_t c = first_chunk; c <= last; c++)
+            place(c, readChunk(c));
+    }
+    return rs;
+}
+
+ReadSet
+SageReader::decodeAll(ThreadPool *pool)
+{
+    ReadSet rs = decodeRange(0, chunkCount(), pool);
+    decoder_->restoreOrder(rs.reads);
+    return rs;
+}
+
+Read
+SageReader::next()
+{
+    sage_assert(hasNext(), "reader exhausted");
+    while (cursorPos_ == cursorReads_.size()) {
+        cursorReads_ = readChunk(cursorChunk_++);
+        cursorPos_ = 0;
+    }
+    emitted_++;
+    return std::move(cursorReads_[cursorPos_++]);
 }
 
 } // namespace sage

@@ -9,6 +9,7 @@
  *
  *   SageReader reader("reads.sage");
  *   ReadSet some = reader.decodeRange(first_chunk, n_chunks, &pool);
+ *   while (reader.hasNext()) process(reader.next());
  *
  * SageWriter wraps the encoder and streams the container to a ByteSink
  * (a file, a memory buffer, or a striped device set) without ever
@@ -17,7 +18,11 @@
  * per-chunk byte slices on demand, so chunk-range random access over a
  * FileSource never loads the full archive — the software analogue of
  * the paper's SAGe_Read/SAGe_Write interface (§5.4), and the layer the
- * Fig. 15 multi-SSD mode plugs into via StripedSource.
+ * Fig. 15 multi-SSD mode plugs into via StripedSource. Every read path
+ * of the reader — readChunk(), decodeRange(), decodeAll() and the
+ * sequential next() cursor — drives the decoder's one primitive,
+ * SageDecoder::tryDecodeChunk(); the reader adds the cursor and the
+ * optional one-deep chunk fetch-ahead (SageReaderOptions::prefetch).
  *
  * The legacy whole-buffer calls (sageCompress/sageDecompress,
  * core/encoder.hh + core/decoder.hh) remain as thin compatibility
@@ -33,6 +38,7 @@
 #ifndef SAGE_IO_SESSION_HH
 #define SAGE_IO_SESSION_HH
 
+#include <future>
 #include <memory>
 #include <string_view>
 
@@ -127,9 +133,10 @@ struct SageReaderOptions
      * Prefetch-next-chunk mode: a background task fetches chunk i+1's
      * byte slices through the source while chunk i decodes,
      * overlapping real FileSource/StripedSource I/O with decode on
-     * the sequential paths (next(), decodeRange()/decodeAll() without
-     * a decode pool). Byte-identical output; pointless over a
-     * MemorySource (chunk fetches are zero-copy views there anyway).
+     * the reader's serial paths (next(), readChunk(), and
+     * decodeRange()/decodeAll() without a decode pool). Byte-identical
+     * output; pointless over a MemorySource (chunk fetches are
+     * zero-copy views there anyway).
      */
     bool prefetch = false;
     /**
@@ -143,7 +150,9 @@ struct SageReaderOptions
 
 /**
  * Read session over a SAGe archive: header + chunk table up front,
- * per-chunk byte slices on demand.
+ * per-chunk byte slices on demand. One reader per thread (the cursor
+ * and fetch-ahead slot are unsynchronized); the decoder underneath is
+ * immutable and safe to share.
  */
 class SageReader
 {
@@ -185,7 +194,8 @@ class SageReader
     /**
      * Random access: decode chunk @p chunk alone, fetching only its
      * byte slices. Repeatable — reading the same chunk twice yields
-     * identical reads (headers/quality included).
+     * identical reads (headers/quality included). Fatal when the chunk
+     * cannot be read or decoded.
      */
     std::vector<Read> readChunk(size_t chunk);
 
@@ -199,22 +209,24 @@ class SageReader
     ReadSet decodeRange(size_t first_chunk, size_t chunk_count,
                         ThreadPool *pool = nullptr);
 
-    /** True while sequential reads remain. */
-    bool hasNext() const { return decoder_->hasNext(); }
+    /** True while the sequential cursor has reads left. */
+    bool hasNext() const { return emitted_ < readCount(); }
 
-    /** Decode the next read in stored order. */
-    Read next() { return decoder_->next(); }
+    /** Decode the next read in stored order. The cursor holds one
+     *  decoded chunk and advances chunk by chunk. */
+    Read next();
 
-    /** Decode everything (restores preserved order; one-shot). */
-    ReadSet
-    decodeAll(ThreadPool *pool = nullptr)
-    {
-        return decoder_->decodeAll(pool);
-    }
+    /**
+     * Decode everything, restoring the preserved order. Independent of
+     * the next() cursor: it always starts from the first chunk, leaves
+     * the cursor where it was, and may be called any number of times.
+     */
+    ReadSet decodeAll(ThreadPool *pool = nullptr);
 
-    /** Decode everything into packed analysis format (one-shot). */
+    /** Decode everything into packed analysis format, in stored order
+     *  (see SageDecoder::decodeAllPacked; no fetch-ahead). */
     std::vector<std::vector<uint8_t>>
-    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr)
+    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr) const
     {
         return decoder_->decodeAllPacked(fmt, pool);
     }
@@ -238,14 +250,31 @@ class SageReader
   private:
     void enablePrefetch(const SageReaderOptions &options);
 
+    /** Chunk @p chunk's bytes: the fetch-ahead slot's payload when it
+     *  holds that chunk, an inline fetch otherwise. Queues the fetch of
+     *  the successor while the walk is sequential. */
+    StatusOr<SageDecoder::ChunkBytes> fetchChunk(size_t chunk);
+
     std::unique_ptr<FileSource> file_;  ///< Owned for the path ctor.
     const ByteSource *source_ = nullptr;
-    /** Owned fetch pool for SageReaderOptions::prefetch (unused when
-     *  the options supplied one). Declared before decoder_: the
-     *  decoder's destructor drains any in-flight fetch before the
-     *  pool goes away. */
-    std::unique_ptr<ThreadPool> prefetchPool_;
     std::unique_ptr<SageDecoder> decoder_;
+
+    // Sequential next() cursor: one decoded chunk at a time.
+    std::vector<Read> cursorReads_;
+    size_t cursorPos_ = 0;
+    size_t cursorChunk_ = 0;  ///< Next chunk the cursor opens.
+    uint64_t emitted_ = 0;
+
+    // One-deep fetch-ahead (double buffering: the chunk being decoded
+    // plus the chunk in flight, the paper's two decompression-window
+    // registers). Null pool = prefetch off.
+    std::unique_ptr<ThreadPool> ownedPrefetchPool_;
+    ThreadPool *prefetchPool_ = nullptr;
+    std::future<StatusOr<SageDecoder::ChunkBytes>> ahead_;
+    size_t aheadChunk_ = 0;
+    /** Chunk a sequential walk opens next; speculation happens only
+     *  there, so scattered random access wastes no fetches. */
+    size_t expectedChunk_ = 0;
 };
 
 } // namespace sage

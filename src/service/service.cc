@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <utility>
 
 #include "util/logging.hh"
@@ -172,7 +173,7 @@ SageArchiveService::decodeChunkWithRetry(size_t chunk)
 {
     for (unsigned attempt = 0;; attempt++) {
         StatusOr<std::vector<Read>> reads =
-            decoder_->tryDecodeChunkShared(chunk);
+            decoder_->tryDecodeChunk(chunk);
         if (reads.ok())
             return reads;
         // Only plain I/O errors are worth retrying: a flaky device
@@ -328,9 +329,9 @@ SageArchiveService::recordRequest(RequestPriority priority,
 }
 
 void
-SageArchiveService::scheduleRange(
-    uint64_t first_read, uint64_t count, RequestOptions options,
-    std::function<void(ReadResult)> deliver)
+SageArchiveService::submit(uint64_t first_read, uint64_t count,
+                           const RequestOptions &options,
+                           std::function<void(ReadResult)> done)
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
@@ -338,9 +339,8 @@ SageArchiveService::scheduleRange(
                 ") exceeds the archive's ", readCount(), " reads");
     const Stopwatch clock;  // Latency includes the queue wait.
     enqueue(options.priority,
-            [this, first_read, count, clock,
-             options = std::move(options),
-             deliver = std::move(deliver)] {
+            [this, first_read, count, clock, options,
+             done = std::move(done)] {
                 // Dequeue-time QoS check: a request that sat out its
                 // deadline behind a backlog (or was cancelled while
                 // queued) completes immediately with its status — no
@@ -353,112 +353,22 @@ SageArchiveService::scheduleRange(
                 }
                 recordRequest(options.priority, result.status,
                               clock.seconds(), result.reads);
-                deliver(std::move(result));
+                done(std::move(result));
             });
 }
 
-// ---- QoS flavors -----------------------------------------------------
-
-std::future<ReadResult>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   const RequestOptions &options)
+ReadResult
+SageArchiveService::readRange(uint64_t first_read, uint64_t count,
+                              const RequestOptions &options)
 {
+    // Shared ownership: the worker may still be inside set_value()
+    // when the waiting caller returns.
     auto promise = std::make_shared<std::promise<ReadResult>>();
     std::future<ReadResult> future = promise->get_future();
-    scheduleRange(first_read, count, options,
-                  [promise](ReadResult result) {
-                      promise->set_value(std::move(result));
-                  });
-    return future;
-}
-
-std::future<ReadResult>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   const RequestOptions &options)
-{
-    sage_assert(chunk < chunkCount(), "chunk index ", chunk,
-                " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), options);
-}
-
-ReadResult
-SageArchiveService::readRange(uint64_t first_read, uint64_t count,
-                              const RequestOptions &options)
-{
-    return readRangeAsync(first_read, count, options).get();
-}
-
-ReadResult
-SageArchiveService::readChunk(size_t chunk,
-                              const RequestOptions &options)
-{
-    return readChunkAsync(chunk, options).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(ReadResult)> done,
-    const RequestOptions &options)
-{
-    scheduleRange(first_read, count, options, std::move(done));
-}
-
-// ---- plain (no-QoS) flavors ------------------------------------------
-
-std::future<std::vector<Read>>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    auto promise =
-        std::make_shared<std::promise<std::vector<Read>>>();
-    std::future<std::vector<Read>> future = promise->get_future();
-    scheduleRange(first_read, count, std::move(options),
-                  [promise](ReadResult result) {
-                      // No deadline/token => always Ok.
-                      promise->set_value(std::move(result.reads));
-                  });
-    return future;
-}
-
-std::future<std::vector<Read>>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   RequestPriority priority)
-{
-    sage_assert(chunk < chunkCount(), "chunk index ", chunk,
-                " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), priority);
-}
-
-std::vector<Read>
-SageArchiveService::readRange(uint64_t first_read, uint64_t count,
-                              RequestPriority priority)
-{
-    return readRangeAsync(first_read, count, priority).get();
-}
-
-std::vector<Read>
-SageArchiveService::readChunk(size_t chunk, RequestPriority priority)
-{
-    return readChunkAsync(chunk, priority).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(std::vector<Read>)> done,
-    RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    scheduleRange(first_read, count, std::move(options),
-                  [done = std::move(done)](ReadResult result) {
-                      done(std::move(result.reads));
-                  });
+    submit(first_read, count, options, [promise](ReadResult result) {
+        promise->set_value(std::move(result));
+    });
+    return future.get();
 }
 
 void

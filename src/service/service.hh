@@ -15,8 +15,8 @@
  *     ghost set) with single-flight decode, so a hot chunk is
  *     decompressed once no matter how many clients want it and a
  *     64-client sequential sweep cannot flush it;
- *   - a request scheduler that drains readRange()/readChunk()
- *     requests onto a shared util/thread_pool in FIFO-within-priority
+ *   - a request scheduler that drains submit()/readRange() requests
+ *     onto a shared util/thread_pool in FIFO-within-priority
  *     order (an Interactive request overtakes queued Background
  *     warms, requests of equal priority run in arrival order);
  *   - per-request QoS (service/qos.hh): RequestOptions carry a
@@ -34,11 +34,13 @@
  *     (util/histogram.hh's LatencyHistogram), snapshotted
  *     consistently against scheduler mutation.
  *
- * Requests address reads by stored-order index — readRange(first,
- * count) spans chunk boundaries transparently — or whole chunks by
- * index. Sync, future- and callback-based async flavors all funnel
- * through the same scheduler. See docs/service.md for the cache and
- * scheduling model plus sizing guidance.
+ * Requests address reads by stored-order index and span chunk
+ * boundaries transparently; a whole chunk is the range
+ * [chunkFirstRead(c), chunkFirstRead(c) + chunkReadCount(c)). There
+ * are two request entry points: submit() queues a request and hands
+ * its ReadResult to a callback, and readRange() is the blocking
+ * wrapper over it. See docs/service.md for the cache and scheduling
+ * model plus sizing guidance.
  */
 
 #ifndef SAGE_SERVICE_SERVICE_HH
@@ -50,7 +52,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -103,7 +104,7 @@ struct ServiceOptions
     unsigned decodeRetries = 2;
 };
 
-/** What a QoS-bearing request completed with. */
+/** What a request completed with. */
 struct ReadResult
 {
     RequestStatus status = RequestStatus::Ok;
@@ -287,75 +288,30 @@ class SageArchiveService
         return decoder_->chunkReadCount(chunk);
     }
 
-    // ---- synchronous API (blocks the calling client thread) ----------
+    // ---- requests ----------------------------------------------------
 
     /**
-     * Reads [@p first_read, @p first_read + @p count) in stored
-     * order, assembled from the covering chunks through the cache.
-     * Scheduled like every other request; the caller blocks until its
-     * turn completes. Fatal on an out-of-range span.
-     */
-    std::vector<Read>
-    readRange(uint64_t first_read, uint64_t count,
-              RequestPriority priority = RequestPriority::Normal);
-
-    /** All of chunk @p chunk's reads, in stored order. */
-    std::vector<Read>
-    readChunk(size_t chunk,
-              RequestPriority priority = RequestPriority::Normal);
-
-    // ---- QoS API: deadlines + cancellation ---------------------------
-
-    /**
-     * QoS flavor of readRange: the request's deadline and CancelToken
-     * are checked when the scheduler dequeues it and again before
-     * each chunk decode; an abandoned request completes with
+     * Queue a request for reads [@p first_read, @p first_read +
+     * @p count) in stored order, assembled from the covering chunks
+     * through the cache, and hand its ReadResult to @p done on a
+     * worker thread. The request's deadline and CancelToken are
+     * checked when the scheduler dequeues it and again before each
+     * chunk decode; an abandoned request completes with
      * RequestStatus::Expired/Cancelled and empty reads instead of
-     * occupying a worker behind a deep backlog.
+     * occupying a worker behind a deep backlog, and a chunk that fails
+     * to decode completes it with RequestStatus::Error and the decode
+     * Status. Fatal on an out-of-range span. @p done must not block on
+     * another request to this service from the same thread pool (it
+     * would occupy the worker it is waiting for).
      */
+    void submit(uint64_t first_read, uint64_t count,
+                const RequestOptions &options,
+                std::function<void(ReadResult)> done);
+
+    /** Blocking wrapper over submit(): the caller waits until its
+     *  request completes and receives its ReadResult. */
     ReadResult readRange(uint64_t first_read, uint64_t count,
-                         const RequestOptions &options);
-
-    /** QoS flavor of readChunk. */
-    ReadResult readChunk(size_t chunk, const RequestOptions &options);
-
-    /** Future-based QoS flavor. */
-    std::future<ReadResult>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   const RequestOptions &options);
-
-    /** Future-based QoS flavor of readChunk. */
-    std::future<ReadResult>
-    readChunkAsync(size_t chunk, const RequestOptions &options);
-
-    /** Callback-based QoS flavor (same worker-thread rule as
-     *  readRangeCallback). */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(ReadResult)> done,
-                           const RequestOptions &options);
-
-    // ---- asynchronous API --------------------------------------------
-
-    /** Future-based flavor of readRange. */
-    std::future<std::vector<Read>>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /** Future-based flavor of readChunk. */
-    std::future<std::vector<Read>>
-    readChunkAsync(size_t chunk,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /**
-     * Callback-based flavor: @p done runs on a worker thread with the
-     * assembled reads once the request is served. The callback must
-     * not block on another sync request to this service from the same
-     * thread pool (it would occupy the worker it is waiting for).
-     */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(std::vector<Read>)> done,
-                           RequestPriority priority =
-                               RequestPriority::Normal);
+                         const RequestOptions &options = {});
 
     // ---- sessions / cache control ------------------------------------
 
@@ -436,7 +392,7 @@ class SageArchiveService
                                          const RequestOptions *qos,
                                          Status *error = nullptr);
 
-    /** tryDecodeChunkShared with the transient-retry policy applied:
+    /** tryDecodeChunk with the transient-retry policy applied:
      *  IoError re-attempts up to ServiceOptions::decodeRetries times
      *  (counted in stats().retries); a terminal failure is classified
      *  into ioErrors/corruptChunks exactly once. */
@@ -449,13 +405,6 @@ class SageArchiveService
      *  re-checking @p options before each chunk decode. */
     ReadResult assembleRange(uint64_t first_read, uint64_t count,
                              const RequestOptions &options);
-
-    /** Shared body of every range flavor: validate, enqueue, check
-     *  QoS at dequeue, assemble, record, then hand the result to
-     *  @p deliver on the worker. */
-    void scheduleRange(uint64_t first_read, uint64_t count,
-                       RequestOptions options,
-                       std::function<void(ReadResult)> deliver);
 
     /** Queue @p work at @p priority; returns after enqueue. */
     void enqueue(RequestPriority priority, std::function<void()> work);

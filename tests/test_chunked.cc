@@ -127,7 +127,9 @@ TEST(ChunkedArchive, StreamingNextMatchesDecodeAllAcrossChunks)
     config.chunkReads = 13;
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source);
+    SageDecoder b(archive.bytes);
     ASSERT_GT(a.chunkCount(), 1u);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
@@ -187,7 +189,6 @@ TEST(ParallelDecode, MatchesSequentialReadSet)
     SageDecoder par(archive.bytes);
     const ReadSet got = par.decodeAll(&pool);
     expectSameReads(got, expect);
-    EXPECT_EQ(par.eventsDecoded(), seq.eventsDecoded());
 }
 
 TEST(ParallelDecode, RestoresPreservedOrder)

@@ -280,7 +280,7 @@ TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
             SageDecoder &decoder = **opened;
             for (size_t c = 0; c < decoder.chunkCount(); c++) {
                 const StatusOr<std::vector<Read>> chunk =
-                    decoder.tryDecodeChunkShared(c);
+                    decoder.tryDecodeChunk(c);
                 (void)chunk; // Ok or Status — both acceptable.
             }
         }
@@ -325,6 +325,14 @@ struct FaultedService
     std::unique_ptr<SageArchiveService> service;
 };
 
+/** Blocking request for all of chunk @p chunk's reads. */
+ReadResult
+readChunk(SageArchiveService &service, size_t chunk)
+{
+    return service.readRange(service.chunkFirstRead(chunk),
+                             service.chunkReadCount(chunk));
+}
+
 TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
@@ -337,7 +345,7 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     ASSERT_GE(service.chunkCount(), 2u);
 
     // Affected request: clean Error with the decode's Status attached.
-    const ReadResult failed = service.readChunk(0, RequestOptions{});
+    const ReadResult failed = readChunk(service, 0);
     EXPECT_EQ(failed.status, RequestStatus::Error);
     EXPECT_TRUE(failed.reads.empty());
     EXPECT_FALSE(failed.error.ok());
@@ -346,7 +354,7 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     // The failure left no poisoned cache entry: once the fault
     // clears, the same chunk decodes on the next request.
     harness.faulty.setArmed(false);
-    const ReadResult recovered = service.readChunk(0, RequestOptions{});
+    const ReadResult recovered = readChunk(service, 0);
     EXPECT_EQ(recovered.status, RequestStatus::Ok);
     EXPECT_FALSE(recovered.reads.empty());
 
@@ -363,6 +371,28 @@ TEST(ServiceFault, ErrorIsPerRequestAndNeverPoisonsTheCache)
     EXPECT_EQ(stats.ioErrors, 1u);
     EXPECT_EQ(stats.corruptChunks, 0u);
     EXPECT_EQ(stats.retries, 0u);
+}
+
+TEST(ServiceFault, DefaultOptionsReadRangeReportsTheError)
+{
+    // A request without deadline or token is no exception to the
+    // all-or-status contract: a failing decode comes back as Error
+    // with its Status, never as an empty Ok.
+    const std::vector<uint8_t> bytes = makeArchiveBytes();
+    FaultConfig fault_config;
+    fault_config.failEveryN = 1;
+    ServiceOptions options;
+    options.decodeRetries = 0;
+    FaultedService harness(bytes, fault_config, options);
+    SageArchiveService &service = *harness.service;
+    ASSERT_GE(service.chunkReadCount(0), 2u);
+
+    const ReadResult result = service.readRange(1, service.readCount() - 1);
+    EXPECT_EQ(result.status, RequestStatus::Error);
+    EXPECT_FALSE(result.ok());
+    EXPECT_TRUE(result.reads.empty());
+    EXPECT_EQ(result.error.code(), StatusCode::IoError);
+    EXPECT_EQ(service.stats().errored, 1u);
 }
 
 TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
@@ -385,7 +415,7 @@ TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
     for (int c = 0; c < kClients; c++) {
         fleet.emplace_back([&service, &errors] {
             const ReadResult result =
-                service.readChunk(0, RequestOptions{});
+                readChunk(service, 0);
             if (result.status == RequestStatus::Error &&
                 !result.error.ok())
                 errors.fetch_add(1, std::memory_order_relaxed);
@@ -399,7 +429,7 @@ TEST(ServiceFault, ConcurrentRequestsAllSeeTheSharedError)
 
     // Recovery still works after the pile-up.
     harness.faulty.setArmed(false);
-    EXPECT_EQ(service.readChunk(0, RequestOptions{}).status,
+    EXPECT_EQ(readChunk(service, 0).status,
               RequestStatus::Ok);
 }
 
@@ -449,7 +479,7 @@ TEST(ServiceFault, RetryAbsorbsTransientIoErrors)
     SageArchiveService service(flaky, options);
     flaky.setFailures(1); // ... one hiccup before the first decode.
 
-    const ReadResult result = service.readChunk(0, RequestOptions{});
+    const ReadResult result = readChunk(service, 0);
     EXPECT_EQ(result.status, RequestStatus::Ok);
     EXPECT_FALSE(result.reads.empty());
 

@@ -86,12 +86,19 @@ TEST(Packbit, CorruptionDetected)
 // Seed-sweep property tests (the losslessness invariant)
 // ---------------------------------------------------------------------
 
+// GoogleTest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: uninitialised padding bytes would give the
+// same case a different name on every run. longRead is therefore a full
+// 64-bit word (0 or 1) rather than a bool.
 struct SweepParam
 {
     uint64_t seed;
-    bool longRead;
+    uint64_t longRead;
     double depth;
 };
+static_assert(sizeof(SweepParam) ==
+                  sizeof(uint64_t) * 2 + sizeof(double),
+              "SweepParam must have no padding bytes");
 
 class LosslessSweep : public ::testing::TestWithParam<SweepParam>
 {};
@@ -99,7 +106,7 @@ class LosslessSweep : public ::testing::TestWithParam<SweepParam>
 TEST_P(LosslessSweep, SageRoundTripIsLossless)
 {
     const SweepParam param = GetParam();
-    DatasetSpec spec = makeTinySpec(param.longRead);
+    DatasetSpec spec = makeTinySpec(param.longRead != 0);
     spec.seed = param.seed;
     spec.depth = param.depth;
     spec.genome.referenceLength = 1 << 15;
@@ -123,7 +130,7 @@ TEST_P(LosslessSweep, SageRoundTripIsLossless)
 TEST_P(LosslessSweep, SpringLikeRoundTripIsLossless)
 {
     const SweepParam param = GetParam();
-    DatasetSpec spec = makeTinySpec(param.longRead);
+    DatasetSpec spec = makeTinySpec(param.longRead != 0);
     spec.seed = param.seed ^ 0x9999;
     spec.depth = param.depth;
     spec.genome.referenceLength = 1 << 15;

@@ -342,7 +342,9 @@ TEST(SageStreaming, NextYieldsSameAsDecodeAll)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source);
+    SageDecoder b(archive.bytes);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
     while (a.hasNext()) {

@@ -244,6 +244,38 @@ TEST(SageReaderTest, NextWalkMatchesDecodeAll)
     EXPECT_EQ(i, all.reads.size());
 }
 
+TEST(SageReaderTest, DecodeAllAfterNextRestoresFullOriginalOrder)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 11;
+    config.preserveOrder = true;
+    const SageArchive archive = compress(ds, config);
+
+    MemorySource source(archive.bytes);
+    SageReader reader(source);
+    ASSERT_GT(reader.chunkCount(), 1u);
+    for (int i = 0; i < 3; i++)
+        (void)reader.next();
+
+    // decodeAll() ignores the cursor: every read, original order.
+    const ReadSet all = reader.decodeAll();
+    ASSERT_EQ(all.reads.size(), ds.readSet.reads.size());
+    for (size_t i = 0; i < all.reads.size(); i++) {
+        EXPECT_EQ(all.reads[i].header, ds.readSet.reads[i].header);
+        EXPECT_EQ(all.reads[i].bases, ds.readSet.reads[i].bases);
+        EXPECT_EQ(all.reads[i].quals, ds.readSet.reads[i].quals);
+    }
+    // ... and leaves it where it was.
+    EXPECT_TRUE(reader.hasNext());
+    uint64_t rest = 0;
+    while (reader.hasNext()) {
+        (void)reader.next();
+        rest++;
+    }
+    EXPECT_EQ(rest, reader.readCount() - 3);
+}
+
 TEST(SageReaderTest, DnaOnlySkipsQuality)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
